@@ -206,17 +206,14 @@ func runAnalyze(ctx context.Context, args []string) {
 			fatal(fmt.Errorf("-prev is meaningless with -speculate: speculative shards build with no predecessor"))
 		}
 		sh := plan.Shards[*shardIdx]
-		buf, err := shard.DecodeShard(ctx, data, sh, plan.Degraded)
-		if err != nil {
-			fatal(err)
-		}
-		d, err := shard.BuildShardDelta(ctx, buf, cfg, sh)
+		events := shard.NewSection(data, sh, plan.Degraded)
+		d, err := shard.BuildShardDelta(ctx, events, cfg, sh)
 		if err != nil {
 			fatal(err)
 		}
 		err = shard.SaveDelta(*outFile, &shard.Delta{
 			Index: sh.Index, Shards: len(plan.Shards),
-			Config: cfg, ReadStats: buf.Stats(), D: d,
+			Config: cfg, ReadStats: events.Stats(), D: d,
 		})
 		if err != nil {
 			fatal(err)
@@ -253,11 +250,7 @@ func runAnalyze(ctx context.Context, args []string) {
 	}
 
 	sh := plan.Shards[*shardIdx]
-	buf, err := shard.DecodeShard(ctx, data, sh, plan.Degraded)
-	if err != nil {
-		fatal(err)
-	}
-	res, cp, err := shard.RunShard(ctx, a, buf, cfg, sh, len(plan.Shards), *shardIdx < len(plan.Shards)-1)
+	res, cp, err := shard.RunShard(ctx, a, shard.NewSection(data, sh, plan.Degraded), cfg, sh, len(plan.Shards), *shardIdx < len(plan.Shards)-1)
 	if err != nil {
 		fatal(err)
 	}

@@ -103,7 +103,10 @@ func BenchmarkHotPathRead(b *testing.B) {
 
 // BenchmarkHotPathReplay replays a decoded EventBuffer into a sink:
 // per-event delivery through the exported copying Replay (before) against
-// batched slice delivery (after).
+// batched slice delivery (after). Both sinks read every event (they fold
+// its PC), so the comparison prices delivery of events a consumer actually
+// touches; a sink that only counted batch lengths would measure nothing
+// per event.
 func BenchmarkHotPathReplay(b *testing.B) {
 	data, events := hotPathTrace(b)
 	r, err := trace.NewBytesReader(data, trace.ReaderOptions{})
@@ -114,19 +117,21 @@ func BenchmarkHotPathReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var want uint64
+	_ = buf.Replay(trace.SinkFunc(func(e *trace.Event) error { want += uint64(e.PC); return nil }))
 
 	b.Run("impl=perevent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			got := 0
+			var sum uint64
 			sink := trace.SinkFunc(func(e *trace.Event) error {
-				got++
+				sum += uint64(e.PC)
 				return nil
 			})
 			if err := buf.Replay(sink); err != nil {
 				b.Fatal(err)
 			}
-			if got != events {
-				b.Fatalf("replayed %d events, want %d", got, events)
+			if sum != want {
+				b.Fatalf("PC fold %d, want %d", sum, want)
 			}
 		}
 		reportPerEvent(b, events)
@@ -134,16 +139,18 @@ func BenchmarkHotPathReplay(b *testing.B) {
 	b.Run("impl=batch", func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			got := 0
+			var sum uint64
 			sink := trace.BatchFunc(func(batch []trace.Event) error {
-				got += len(batch)
+				for j := range batch {
+					sum += uint64(batch[j].PC)
+				}
 				return nil
 			})
 			if err := buf.ReplayBatches(ctx, sink); err != nil {
 				b.Fatal(err)
 			}
-			if got != events {
-				b.Fatalf("replayed %d events, want %d", got, events)
+			if sum != want {
+				b.Fatalf("PC fold %d, want %d", sum, want)
 			}
 		}
 		reportPerEvent(b, events)

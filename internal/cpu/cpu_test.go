@@ -699,3 +699,44 @@ func TestPrintStringUnterminated(t *testing.T) {
 		t.Errorf("printed %q, want %q", out.String(), "bounded")
 	}
 }
+
+// TestStepAllocationFree pins the tracer's steady state: with a sink
+// attached, executing an instruction (ALU, load, store, branch) allocates
+// nothing. A per-Step allocation would be garbage proportional to the
+// simulated instruction count.
+func TestStepAllocationFree(t *testing.T) {
+	p, err := asm.Assemble(`
+        .data
+v:      .word 5
+        .text
+main:   lw    $t0, v
+        addiu $t0, $t0, 1
+        sw    $t0, v
+        addiu $sp, $sp, -4
+        sw    $t0, 0($sp)
+        addiu $sp, $sp, 4
+        bne   $t0, $zero, main
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n trace.Counter
+	c, err := New(p, WithTrace(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		for i := 0; i < 1000; i++ {
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step() // touch the data and stack pages once
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("1000 Steps allocate %.1f times, want 0", allocs)
+	}
+	if n.N < 21_000 {
+		t.Errorf("sink saw %d events, want at least 21000", n.N)
+	}
+}

@@ -1,20 +1,19 @@
 package harness
 
-// The constant-memory soak: ISSUE 9's acceptance criterion, stated as a
-// test. A -j 4 multi-config analysis fed through the bounded ring must hold
-// peak heap flat (within 10%) between a 1M-event and a 50M-event synthetic
-// trace — a 50× longer trace with the same footprint — while the ring's
-// results stay deeply equal to a streaming (analyzer-fed-directly) pass
-// over the identical event stream.
+// The constant-memory soak. A -j 4 multi-config analysis fed through the
+// bounded ring must hold its live heap flat (within 10%) from 1M events
+// through 10M to 50M events of one synthetic trace — a 50× longer stream
+// with the same footprint — while the ring's results stay deeply equal to
+// a streaming (analyzer-fed-directly) pass over the identical event
+// stream. The heap is read after a forced collection at fixed event
+// counts, so the measurement does not depend on when the GC last ran.
 
 import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"runtime/metrics"
 	"testing"
-	"time"
 
 	"paragraph/internal/core"
 	"paragraph/internal/isa"
@@ -39,8 +38,11 @@ func soakConfigs() []core.Config {
 // stack traffic, branches, the odd syscall) in batches through emit. The
 // fixed seed makes every call produce the identical stream, so the ring run
 // and the streaming reference analyze the same trace without ever
-// materializing it.
-func soakStream(n int, emit func([]trace.Event) error) error {
+// materializing it. When at is non-nil it is called with the event count
+// after each count listed in marks has been emitted (the partial batch is
+// flushed first, so the consumers have been handed exactly that many
+// events).
+func soakStream(n int, emit func([]trace.Event) error, marks []int, at func(events int)) error {
 	rng := rand.New(rand.NewSource(43))
 	regs := []isa.Reg{isa.T0, isa.T1, isa.T2, isa.S0, isa.S1, isa.A0, isa.V0}
 	r := func() isa.Reg { return regs[rng.Intn(len(regs))] }
@@ -76,11 +78,16 @@ func soakStream(n int, emit func([]trace.Event) error) error {
 			}
 		}
 		batch = append(batch, e)
-		if len(batch) == cap(batch) {
+		mark := at != nil && len(marks) > 0 && i+1 == marks[0]
+		if len(batch) == cap(batch) || mark {
 			if err := emit(batch); err != nil {
 				return err
 			}
 			batch = batch[:0]
+		}
+		if mark {
+			at(marks[0])
+			marks = marks[1:]
 		}
 		pc += 4
 	}
@@ -90,42 +97,14 @@ func soakStream(n int, emit func([]trace.Event) error) error {
 	return nil
 }
 
-// peakHeap runs f while sampling runtime.MemStats.HeapAlloc, returning the
-// highest sample observed. A GC beforehand resets the floor so runs are
-// comparable.
-func peakHeap(f func()) uint64 {
+// liveHeap returns the heap bytes still reachable after a full collection:
+// the program's working set, with none of the not-yet-collected garbage
+// that a HeapAlloc sample includes at a GC-timing-dependent amount.
+func liveHeap() uint64 {
 	runtime.GC()
-	var peak atomic.Uint64
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		for {
-			p := peak.Load()
-			if ms.HeapAlloc <= p || peak.CompareAndSwap(p, ms.HeapAlloc) {
-				return
-			}
-		}
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				sample()
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-	}()
-	f()
-	close(stop)
-	wg.Wait()
-	sample()
-	return peak.Load()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 func TestSoakConstantMemory(t *testing.T) {
@@ -136,74 +115,57 @@ func TestSoakConstantMemory(t *testing.T) {
 		t.Skip("soak: race instrumentation distorts heap accounting")
 	}
 	cfgs := soakConfigs()
+	const events = 50_000_000
+	marks := []int{1_000_000, 10_000_000, events}
 
-	// ringRun analyzes an n-event stream through the bounded ring with one
-	// concurrent analyzer per config (-j 4 shape).
-	ringRun := func(n int) []*core.Result {
-		produce := func(ring *trace.Ring) error {
-			return soakStream(n, ring.Events)
+	// The ring run: one 50M-event stream through the bounded ring with one
+	// concurrent analyzer per config (-j 4 shape), the live heap read at
+	// each mark from inside the producer.
+	live := make([]uint64, 0, len(marks))
+	produce := func(ring *trace.Ring) error {
+		return soakStream(events, ring.Events, marks, func(int) { live = append(live, liveHeap()) })
+	}
+	ringRes, _, err := FanOutStream(t.Context(), produce, cfgs, 0)
+	if err != nil {
+		t.Fatalf("ring run: %v", err)
+	}
+	if len(live) != len(marks) {
+		t.Fatalf("took %d live-heap reads, want %d", len(live), len(marks))
+	}
+
+	// The reference: each analyzer fed directly, serially — no ring, no
+	// buffering, nothing between generator and analyzer. The 50M-event
+	// stream is the one where a slot-reuse bug would scramble events.
+	for i, cfg := range cfgs {
+		a := core.NewAnalyzer(cfg)
+		if err := soakStream(events, a.Events, nil, nil); err != nil {
+			t.Fatalf("streaming run: %v", err)
 		}
-		results, _, err := FanOutStream(t.Context(), produce, cfgs, 0)
+		want, err := a.Finish()
 		if err != nil {
-			t.Fatalf("ring run (%d events): %v", n, err)
+			t.Fatal(err)
 		}
-		return results
-	}
-	// streamRun is the reference: each analyzer fed directly, serially —
-	// no ring, no buffering, nothing between generator and analyzer.
-	streamRun := func(n int) []*core.Result {
-		results := make([]*core.Result, len(cfgs))
-		for i, cfg := range cfgs {
-			a := core.NewAnalyzer(cfg)
-			if err := soakStream(n, a.Events); err != nil {
-				t.Fatalf("streaming run (%d events): %v", n, err)
-			}
-			res, err := a.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			results[i] = res
-		}
-		return results
-	}
-	equal := func(n int, got, want []*core.Result) {
-		t.Helper()
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%d events, config %d: ring diverged from streaming", n, i)
-			}
+		if !reflect.DeepEqual(ringRes[i], want) {
+			t.Errorf("config %d: ring diverged from streaming", i)
 		}
 	}
 
-	const small, large = 1_000_000, 50_000_000
-
-	// Equivalence at the small size (both engines, deep-equal), then a
-	// warm-up-aware peak measurement: the first timed run at each size
-	// happens after the allocator and analyzers have reached steady state.
-	smallRef := streamRun(small)
-	var smallRing []*core.Result
-	peakSmall := peakHeap(func() { smallRing = ringRun(small) })
-	equal(small, smallRing, smallRef)
-
-	var largeRing []*core.Result
-	peakLarge := peakHeap(func() { largeRing = ringRun(large) })
-
-	// Equivalence at the large size too: the 50× trace is the one where a
-	// slot-reuse bug would actually scramble events.
-	largeRef := streamRun(large)
-	equal(large, largeRing, largeRef)
-
-	t.Logf("peak heap: %d events → %.1f MiB, %d events → %.1f MiB",
-		small, float64(peakSmall)/(1<<20), large, float64(peakLarge)/(1<<20))
-	if float64(peakLarge) > float64(peakSmall)*1.10 {
-		t.Errorf("peak heap grew with trace length: %d bytes at %d events vs %d bytes at %d events (>10%%)",
-			peakLarge, large, peakSmall, small)
+	for i, m := range marks {
+		t.Logf("live heap after %d events: %.2f MiB", m, float64(live[i])/(1<<20))
+	}
+	for i := 1; i < len(marks); i++ {
+		if float64(live[i]) > float64(live[0])*1.10 {
+			t.Errorf("live heap grew with trace length: %d bytes at %d events vs %d bytes at %d events (>10%%)",
+				live[i], marks[i], live[0], marks[0])
+		}
 	}
 	// And a hard absolute ceiling: the ring (~1.8 MB) plus four
 	// finite-window analyzers fit comfortably under 128 MiB; the recorded
 	// buffer alone would need ~1.6 GB for the 50M-event trace.
 	const ceiling = 128 << 20
-	if peakLarge > ceiling {
-		t.Errorf("peak heap %d bytes exceeds the %d-byte ceiling at %d events", peakLarge, int64(ceiling), large)
+	for i, l := range live {
+		if l > ceiling {
+			t.Errorf("live heap %d bytes exceeds the %d-byte ceiling at %d events", l, int64(ceiling), marks[i])
+		}
 	}
 }

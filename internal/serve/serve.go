@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"paragraph/internal/remote"
@@ -99,7 +100,12 @@ type Server struct {
 	mu       sync.Mutex
 	traces   map[string]TraceInfo
 	jobs     map[string]*job
+	indexes  map[indexKey]*cachedIndex
 	draining bool
+
+	// indexScans counts chunk-index scans of local traces (see
+	// traceIndex); tests read it to prove plans are reused.
+	indexScans atomic.Int64
 
 	// Test hooks: afterShard fires after a shard result is persisted
 	// (crash-point injection), beforeAttempt at the top of every contained
@@ -139,6 +145,7 @@ func New(opts Options) (*Server, error) {
 		leases:         make(map[string]*lease),
 		rng:            mrand.New(mrand.NewSource(opts.Seed)),
 		jobs:           make(map[string]*job),
+		indexes:        make(map[indexKey]*cachedIndex),
 	}
 	if s.client == nil {
 		s.client = http.DefaultClient

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -85,6 +84,7 @@ func (s *Server) runJobChain(j *job) error {
 	// Acquire the input. Local traces are read whole; remote traces are
 	// probed now and fetched per shard range later.
 	var data []byte
+	var mtime time.Time
 	var src *remote.Source
 	if ti.Remote {
 		var err error
@@ -98,13 +98,13 @@ func (s *Server) runJobChain(j *job) error {
 		j.setRetry(src.Stats())
 	} else {
 		var err error
-		data, err = os.ReadFile(ti.Location)
+		data, mtime, err = readLocal(ti.Location)
 		if err != nil {
 			return fmt.Errorf("job %s: reading trace: %w", spec.ID, err)
 		}
 	}
 
-	plan, err := s.jobPlan(j, src, data)
+	plan, err := s.jobPlan(j, src, data, mtime)
 	if err != nil {
 		if s.ctx.Err() != nil {
 			return errInterrupted
@@ -315,8 +315,8 @@ func (s *Server) superviseDelta(j *job, ti TraceInfo, src *remote.Source, data [
 }
 
 // buildDeltaAttempt is one contained speculative build: fetch or slice the
-// shard's bytes, decode, and compile with no entry state. Panics convert
-// to a failed attempt, like runShardAttempt.
+// shard's bytes and decode them straight into a delta builder with no
+// entry state. Panics convert to a failed attempt, like runShardAttempt.
 func (s *Server) buildDeltaAttempt(j *job, src *remote.Source, data []byte, plan *shard.Plan, i int) (d *shard.Delta, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -334,37 +334,48 @@ func (s *Server) buildDeltaAttempt(j *job, src *remote.Source, data []byte, plan
 		s.beforeAttempt(j.spec.ID, i)
 	}
 
-	sh := plan.Shards[i]
-	buf := data
-	if buf == nil {
-		sect, start, end, ferr := src.Section(ctx, sh.Start, sh.End)
-		j.setRetry(src.Stats())
-		if ferr != nil {
-			return nil, ferr
-		}
-		sh.Start, sh.End = start, end
-		buf = sect
-	}
-	evbuf, err := shard.DecodeShard(ctx, buf, sh, plan.Degraded)
+	sect, err := s.shardSection(ctx, j, src, data, plan, i)
 	if err != nil {
 		return nil, err
 	}
-	cd, err := shard.BuildShardDelta(ctx, evbuf, j.spec.Config, sh)
+	sh := plan.Shards[i]
+	cd, err := shard.BuildShardDelta(ctx, sect, j.spec.Config, sh)
 	if err != nil {
 		return nil, err
 	}
 	return &shard.Delta{
 		Index: sh.Index, Shards: len(plan.Shards),
-		Config: j.spec.Config, ReadStats: evbuf.Stats(), D: cd,
+		Config: j.spec.Config, ReadStats: sect.Stats(), D: cd,
 	}, nil
+}
+
+// shardSection is the event source of one shard attempt: the shard's byte
+// range of a local trace, or — for a remote trace — exactly that range
+// fetched now, stitched behind the trace header so the section reader sees
+// a well-formed file. Either way the attempt decodes straight into its
+// analyzer or delta builder.
+func (s *Server) shardSection(ctx context.Context, j *job, src *remote.Source, data []byte, plan *shard.Plan, i int) (*shard.Section, error) {
+	sh := plan.Shards[i]
+	if data == nil {
+		sect, start, end, err := src.Section(ctx, sh.Start, sh.End)
+		j.setRetry(src.Stats())
+		if err != nil {
+			return nil, err
+		}
+		sh.Start, sh.End = start, end
+		data = sect
+	}
+	return shard.NewSection(data, sh, plan.Degraded), nil
 }
 
 // jobPlan loads the persisted shard plan or computes and persists it. The
 // plan is written before the first shard runs, so a resumed job always
 // re-uses the original cut points — a replan over the same bytes would be
 // identical, but trusting the persisted plan also catches a trace that
-// changed under a job.
-func (s *Server) jobPlan(j *job, src *remote.Source, data []byte) (*shard.Plan, error) {
+// changed under a job. A local trace's plan is a partition of its cached
+// chunk index (see traceIndex); a remote trace has no validator to key
+// such a cache on, so it is fetched whole and scanned for every job.
+func (s *Server) jobPlan(j *job, src *remote.Source, data []byte, mtime time.Time) (*shard.Plan, error) {
 	spec := j.spec
 	if plan, err := s.st.loadPlan(spec.ID); err == nil {
 		size := int64(len(data))
@@ -379,21 +390,28 @@ func (s *Server) jobPlan(j *job, src *remote.Source, data []byte) (*shard.Plan, 
 		}
 		return plan, nil
 	}
-	// Planning needs the whole trace once; remote jobs release the buffer
-	// afterwards and refetch only per-shard ranges (which is also why a
-	// resumed remote job never downloads completed shards again).
-	full := data
-	if full == nil {
-		var err error
-		full, err = src.FetchAll(s.ctx)
+	var plan *shard.Plan
+	if data != nil {
+		ix, err := s.traceIndex(spec.TraceID, spec.Degraded, data, mtime)
+		if err != nil {
+			return nil, err
+		}
+		if plan, err = ix.Partition(spec.Shards); err != nil {
+			return nil, err
+		}
+	} else {
+		// Planning needs the whole trace once; remote jobs release the
+		// buffer afterwards and refetch only per-shard ranges (which is
+		// also why a resumed remote job never downloads completed shards
+		// again).
+		full, err := src.FetchAll(s.ctx)
 		j.setRetry(src.Stats())
 		if err != nil {
 			return nil, fmt.Errorf("fetching trace for planning: %w", err)
 		}
-	}
-	plan, err := shard.Split(full, spec.Shards, shard.Options{Degraded: spec.Degraded})
-	if err != nil {
-		return nil, err
+		if plan, err = shard.Split(full, spec.Shards, shard.Options{Degraded: spec.Degraded}); err != nil {
+			return nil, err
+		}
 	}
 	if err := s.st.savePlan(spec.ID, plan); err != nil {
 		return nil, fmt.Errorf("persisting plan: %w", err)
@@ -442,8 +460,8 @@ func (s *Server) superviseShard(j *job, ti TraceInfo, src *remote.Source, data [
 }
 
 // runShardAttempt is one contained attempt: fetch (remote) or slice
-// (local) the shard's bytes, decode, and replay through an analyzer seeded
-// from the previous shard's checkpoint. A panic anywhere inside — decode,
+// (local) the shard's bytes and decode them straight into an analyzer
+// seeded from the previous shard's checkpoint. A panic anywhere inside — decode,
 // analysis, or a fetch bug — converts to an error and counts as a failed
 // attempt instead of killing the worker.
 func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *shard.Plan, i int, prevCP *core.Checkpoint) (part *shard.Result, cp *core.Checkpoint, err error) {
@@ -463,20 +481,7 @@ func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *
 		s.beforeAttempt(j.spec.ID, i)
 	}
 
-	sh := plan.Shards[i]
-	buf := data
-	if buf == nil {
-		// Remote: fetch exactly this shard's byte range, stitched behind
-		// the trace header so the section reader sees a well-formed file.
-		sect, start, end, ferr := src.Section(ctx, sh.Start, sh.End)
-		j.setRetry(src.Stats())
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		sh.Start, sh.End = start, end
-		buf = sect
-	}
-	evbuf, err := shard.DecodeShard(ctx, buf, sh, plan.Degraded)
+	sect, err := s.shardSection(ctx, j, src, data, plan, i)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -489,7 +494,7 @@ func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *
 		a = core.NewAnalyzer(j.spec.Config)
 	}
 	want := i < len(plan.Shards)-1
-	return shard.RunShard(ctx, a, evbuf, j.spec.Config, plan.Shards[i], len(plan.Shards), want)
+	return shard.RunShard(ctx, a, sect, j.spec.Config, plan.Shards[i], len(plan.Shards), want)
 }
 
 // backoff sleeps the supervisor's jittered exponential delay for the given

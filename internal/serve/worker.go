@@ -371,9 +371,9 @@ func (e *workerPanicError) Error() string {
 	return fmt.Sprintf("panic contained: %v", e.v)
 }
 
-// execute runs one leased attempt: fetch the shard's byte range, decode,
-// analyze (chain: replay from the shipped entry checkpoint; delta: build
-// with no entry state), and serialize the artifact for upload. Panics
+// execute runs one leased attempt: fetch the shard's byte range and decode
+// it straight into the analysis (chain: an analyzer restored from the
+// shipped entry checkpoint; delta: a builder with no entry state), and serialize the artifact for upload. Panics
 // anywhere inside convert to a classified failure instead of killing the
 // worker.
 func (w *Worker) execute(ctx context.Context, lm *LeaseMsg) (payload []byte, err error) {
@@ -392,18 +392,15 @@ func (w *Worker) execute(ctx context.Context, lm *LeaseMsg) (payload []byte, err
 		return nil, err
 	}
 	sh.Start, sh.End = start, end
-	evbuf, err := shard.DecodeShard(ctx, sect, sh, lm.Degraded)
-	if err != nil {
-		return nil, err
-	}
+	events := shard.NewSection(sect, sh, lm.Degraded)
 	var buf bytes.Buffer
 	if lm.Kind == kindDelta {
-		cd, err := shard.BuildShardDelta(ctx, evbuf, lm.Config, sh)
+		cd, err := shard.BuildShardDelta(ctx, events, lm.Config, sh)
 		if err != nil {
 			return nil, err
 		}
 		d := &shard.Delta{Index: lm.Shard.Index, Shards: lm.Shards,
-			Config: lm.Config, ReadStats: evbuf.Stats(), D: cd}
+			Config: lm.Config, ReadStats: events.Stats(), D: cd}
 		if err := shard.WriteDelta(&buf, d); err != nil {
 			return nil, err
 		}
@@ -419,7 +416,7 @@ func (w *Worker) execute(ctx context.Context, lm *LeaseMsg) (payload []byte, err
 	} else {
 		a = core.NewAnalyzer(lm.Config)
 	}
-	part, cp, err := shard.RunShard(ctx, a, evbuf, lm.Config, sh, lm.Shards, lm.WantCheckpoint)
+	part, cp, err := shard.RunShard(ctx, a, events, lm.Config, sh, lm.Shards, lm.WantCheckpoint)
 	if err != nil {
 		return nil, err
 	}

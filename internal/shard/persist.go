@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -148,17 +150,92 @@ func LoadResult(path string) (*Result, *core.Checkpoint, error) {
 // deltaMagic versions the speculative shard-delta file format. It is
 // distinct from resultMagic so pgshard merge can sniff which kind of
 // per-shard file it was handed.
-const deltaMagic = "pgshard-delta-v1\n"
+//
+// Version 2 layout, after the magic: a little-endian u32 length, that many
+// bytes of gob-encoded deltaHeader (the Delta with its two word slices
+// emptied, plus their lengths), then Locs and Code as raw little-endian
+// 32-bit words. The record stream is most of a delta's bytes; writing it
+// raw instead of through gob's per-element varint coding is what keeps
+// persisting a delta cheap next to building it. Version 1 (all gob) files
+// are rejected like any foreign file, so a resumed job rebuilds them.
+const deltaMagic = "pgshard-delta-v2\n"
+
+// deltaHeader is the gob-encoded part of a delta file.
+type deltaHeader struct {
+	// Delta carries every field of the delta except D.Locs and D.Code.
+	Delta *Delta
+	// Locs and Code are the lengths of the raw word sections that follow.
+	Locs, Code uint64
+}
+
+// maxDeltaHeader bounds the gob header a reader accepts. A header is a
+// config and a few counters; anything near this size is a damaged file.
+const maxDeltaHeader = 16 << 20
 
 // WriteDelta writes one shard's speculative delta to w.
 func WriteDelta(w io.Writer, d *Delta) error {
-	if _, err := io.WriteString(w, deltaMagic); err != nil {
-		return err
+	if d.D == nil {
+		return fmt.Errorf("shard %d: delta carries no record stream", d.Index)
 	}
-	if err := gob.NewEncoder(w).Encode(d); err != nil {
+	bare := *d.D
+	bare.Locs, bare.Code = nil, nil
+	meta := *d
+	meta.D = &bare
+	var hdr bytes.Buffer
+	hdr.WriteString(deltaMagic)
+	hdr.Write([]byte{0, 0, 0, 0}) // header length, patched below
+	err := gob.NewEncoder(&hdr).Encode(deltaHeader{
+		Delta: &meta, Locs: uint64(len(d.D.Locs)), Code: uint64(len(d.D.Code)),
+	})
+	if err != nil {
 		return fmt.Errorf("shard %d: encoding delta: %w", d.Index, err)
 	}
+	b := hdr.Bytes()
+	binary.LittleEndian.PutUint32(b[len(deltaMagic):], uint32(len(b)-len(deltaMagic)-4))
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	if err := writeWords(w, d.D.Locs); err != nil {
+		return err
+	}
+	return writeWords(w, d.D.Code)
+}
+
+// wordChunk is how many words the raw sections move per write or read.
+const wordChunk = 16 << 10
+
+// writeWords writes ws as little-endian 32-bit words.
+func writeWords(w io.Writer, ws []uint32) error {
+	buf := make([]byte, 4*min(len(ws), wordChunk))
+	for len(ws) > 0 {
+		n := min(len(ws), wordChunk)
+		for i, v := range ws[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], v)
+		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		ws = ws[n:]
+	}
 	return nil
+}
+
+// readWords reads n little-endian 32-bit words. The slice grows as words
+// arrive, so a damaged length fails at end of input rather than by
+// allocating whatever the length claims.
+func readWords(r io.Reader, n uint64) ([]uint32, error) {
+	ws := make([]uint32, 0, min(n, 1<<20))
+	buf := make([]byte, 4*min(n, wordChunk))
+	for uint64(len(ws)) < n {
+		k := int(min(n-uint64(len(ws)), wordChunk))
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < k; i++ {
+			ws = append(ws, binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+	}
+	return ws, nil
 }
 
 // ReadDelta reads a shard-delta stream written by WriteDelta.
@@ -170,14 +247,35 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	if string(magic) != deltaMagic {
 		return nil, fmt.Errorf("shard: not a shard-delta file (magic %q)", magic)
 	}
-	var d Delta
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		return nil, fmt.Errorf("shard: reading delta header: %w", err)
+	}
+	hlen := binary.LittleEndian.Uint32(lenBuf[:])
+	if hlen > maxDeltaHeader {
+		return nil, fmt.Errorf("shard: delta header of %d bytes", hlen)
+	}
+	hb := make([]byte, hlen)
+	if _, err := io.ReadFull(br, hb); err != nil {
+		return nil, fmt.Errorf("shard: reading delta header: %w", err)
+	}
+	var hdr deltaHeader
+	if err := gob.NewDecoder(bytes.NewReader(hb)).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("shard: decoding delta: %w", err)
 	}
-	if d.D == nil {
+	if hdr.Delta == nil || hdr.Delta.D == nil {
 		return nil, fmt.Errorf("shard: delta file carries no record stream")
 	}
-	return &d, nil
+	d := hdr.Delta
+	var err error
+	if d.D.Locs, err = readWords(br, hdr.Locs); err != nil {
+		return nil, fmt.Errorf("shard: reading delta slot table: %w", err)
+	}
+	if d.D.Code, err = readWords(br, hdr.Code); err != nil {
+		return nil, fmt.Errorf("shard: reading delta records: %w", err)
+	}
+	return d, nil
 }
 
 // SaveDelta writes a shard-delta file atomically (temp, sync, rename),

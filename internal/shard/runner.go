@@ -12,63 +12,121 @@ import (
 	"paragraph/internal/trace"
 )
 
+// Source is a shard's event stream as RunShard and BuildShardDelta consume
+// it: ReplayBatches delivers every event of the shard to sink in batches
+// of at most trace.CtxCheckEvery, checking ctx between batches, and Stats
+// reports the shard's read accounting once a replay has completed. A
+// decoded *trace.EventBuffer (see DecodeShard) is a Source, for callers
+// that replay one decode into several consumers; a *Section decodes the
+// shard's byte range on the fly, for callers with one consumer.
+type Source interface {
+	ReplayBatches(ctx context.Context, sink trace.BatchSink) error
+	Stats() trace.ReadStats
+}
+
+// Section is one shard's byte range as a Source. Each ReplayBatches call
+// decodes the range in place (chunks are CRC-verified and decoded straight
+// out of data) and hands every batch to the sink before decoding the next,
+// so a shard attempt holds one batch of events rather than the whole
+// shard, and events reach the consumer in trace order ahead of any later
+// damage — a bad event before a corrupt chunk fails the way a monolithic
+// read does.
+type Section struct {
+	data     []byte
+	sh       Shard
+	degraded bool
+	stats    trace.ReadStats
+}
+
+// NewSection returns the Source for shard sh of the trace in data, read
+// in the plan's mode.
+func NewSection(data []byte, sh Shard, degraded bool) *Section {
+	return &Section{data: data, sh: sh, degraded: degraded}
+}
+
+// ReplayBatches decodes the shard into sink. After the last batch it
+// checks that the range delivered exactly the events the plan counted.
+func (s *Section) ReplayBatches(ctx context.Context, sink trace.BatchSink) error {
+	r, err := trace.NewBytesSectionReader(s.data, s.sh.Start, s.sh.End, trace.ReaderOptions{
+		Degraded:      s.degraded,
+		StartSeq:      s.sh.PrevSeq,
+		StartSeqValid: s.sh.HavePrevSeq,
+	})
+	if err != nil {
+		return err
+	}
+	done := ctx.Done()
+	batch := make([]trace.Event, trace.DefaultBatchEvents)
+	var got uint64
+	for {
+		if done != nil {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("trace: replay canceled at event %d: %w", got, err)
+			}
+		}
+		n, rerr := r.ReadBatch(batch)
+		if n > 0 {
+			if err := sink.Events(batch[:n]); err != nil {
+				return fmt.Errorf("trace: replay batch at event %d: %w", got, err)
+			}
+			got += uint64(n)
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
+	s.stats = r.Stats()
+	if got != s.sh.Events {
+		return fmt.Errorf("decoded %d events, plan says %d (trace modified since Split?)", got, s.sh.Events)
+	}
+	return nil
+}
+
+// Stats returns the read accounting of the last completed replay.
+func (s *Section) Stats() trace.ReadStats { return s.stats }
+
 // DecodeShard decodes one shard's byte range into an EventBuffer, carrying
 // the shard reader's ReadStats. The buffer can be replayed by any number of
 // analyzers (different configs fan out over one decode). Decode honors ctx
 // with the usual CtxCheckEvery granularity.
 func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*trace.EventBuffer, error) {
-	// Zero-copy section reader: chunks are CRC-verified and decoded in
-	// place out of data, with no per-shard copy of the byte range.
-	r, err := trace.NewBytesSectionReader(data, sh.Start, sh.End, trace.ReaderOptions{
-		Degraded:      degraded,
-		StartSeq:      sh.PrevSeq,
-		StartSeqValid: sh.HavePrevSeq,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
-	}
 	buf := &trace.EventBuffer{}
 	buf.Grow(int(sh.Events)) // the plan counted this shard's events at Split time
-	done := ctx.Done()
-	batch := make([]trace.Event, trace.DefaultBatchEvents)
-	for i := 0; ; {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("shard %d: decode canceled at event %d: %w", sh.Index, i, err)
-			}
-		}
-		n, err := r.ReadBatch(batch)
-		if n > 0 {
-			_ = buf.Events(batch[:n]) // EventBuffer.Events never fails
-			i += n
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
-		}
+	sect := NewSection(data, sh, degraded)
+	if err := sect.ReplayBatches(ctx, buf); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
-	buf.SetStats(r.Stats())
-	if got := uint64(buf.Len()); got != sh.Events {
-		return nil, fmt.Errorf("shard %d: decoded %d events, plan says %d (trace modified since Split?)",
-			sh.Index, got, sh.Events)
-	}
+	buf.SetStats(sect.Stats())
 	return buf, nil
 }
 
-// RunShard replays one decoded shard through an analyzer that carries the
+// countingSink forwards batches to sink and counts the events delivered.
+type countingSink struct {
+	sink trace.BatchSink
+	n    uint64
+}
+
+func (c *countingSink) Events(batch []trace.Event) error {
+	c.n += uint64(len(batch))
+	return c.sink.Events(batch)
+}
+
+// RunShard replays one shard's events through an analyzer that carries the
 // state of all preceding shards (a fresh analyzer for shard 0, a
 // checkpoint-restored one otherwise). It resets the mergeable accumulators
 // at entry and harvests them after the replay, finishing the analysis on
 // the last shard. When wantCheckpoint is set, the analyzer's outgoing state
 // is snapshotted (before any finish) for handoff to the next shard's
 // process.
-func RunShard(ctx context.Context, a *core.Analyzer, buf *trace.EventBuffer, cfg core.Config, sh Shard, total int, wantCheckpoint bool) (*Result, *core.Checkpoint, error) {
+func RunShard(ctx context.Context, a *core.Analyzer, src Source, cfg core.Config, sh Shard, total int, wantCheckpoint bool) (*Result, *core.Checkpoint, error) {
 	if err := a.BeginShard(); err != nil {
 		return nil, nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
-	if err := buf.ReplayBatches(ctx, a); err != nil {
+	counted := &countingSink{sink: a}
+	if err := src.ReplayBatches(ctx, counted); err != nil {
 		return nil, nil, fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
 	res := &Result{
@@ -76,8 +134,8 @@ func RunShard(ctx context.Context, a *core.Analyzer, buf *trace.EventBuffer, cfg
 		Shards:     total,
 		Config:     cfg,
 		StartEvent: sh.StartEvent,
-		Events:     uint64(buf.Len()),
-		ReadStats:  buf.Stats(),
+		Events:     counted.n,
+		ReadStats:  src.Stats(),
 	}
 	var cp *core.Checkpoint
 	if wantCheckpoint {

@@ -90,26 +90,61 @@ type Plan struct {
 	Shards []Shard
 }
 
-// Split scans the trace once and partitions it into at most n shards,
-// balanced by delivered event count. The effective shard count is
-// min(n, event-delivering chunks), and always at least 1: a trace that
-// delivers nothing yields a single shard covering the whole file.
-func Split(data []byte, n int, opts Options) (*Plan, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: shard count %d < 1", n)
-	}
-	spans, rstats, err := trace.ScanChunkSpans(data, opts.Degraded)
+// Index is a trace's chunk index under one read mode: the span of every
+// accepted, event-delivering chunk, the ReadStats a full read accumulates,
+// and the trace's byte length. Building it decodes every event once — the
+// expensive half of planning — while cutting it into a Plan is a walk over
+// the spans. A caller that plans the same trace many times (pgserved, one
+// plan per job) scans once and partitions per shard count.
+type Index struct {
+	// TraceBytes is the length of the scanned trace.
+	TraceBytes int64
+	// Degraded records the read mode of the scan.
+	Degraded bool
+	// Spans lists the event-delivering chunks in trace order.
+	Spans []trace.ChunkSpan
+	// Stats is the ReadStats of the scan.
+	Stats trace.ReadStats
+	// TotalEvents is the number of events the whole trace delivers.
+	TotalEvents uint64
+}
+
+// Scan reads the trace once and builds its chunk index.
+func Scan(data []byte, degraded bool) (*Index, error) {
+	spans, rstats, err := trace.ScanChunkSpans(data, degraded)
 	if err != nil {
 		return nil, fmt.Errorf("shard: scanning trace: %w", err)
 	}
-	plan := &Plan{TraceBytes: int64(len(data)), Degraded: opts.Degraded, Stats: rstats}
-	var total uint64
+	ix := &Index{TraceBytes: int64(len(data)), Degraded: degraded, Spans: spans, Stats: rstats}
 	for _, s := range spans {
-		total += s.Events
+		ix.TotalEvents += s.Events
 	}
-	plan.TotalEvents = total
+	return ix, nil
+}
+
+// Split scans the trace once and partitions it into at most n shards:
+// Partition over Scan.
+func Split(data []byte, n int, opts Options) (*Plan, error) {
+	ix, err := Scan(data, opts.Degraded)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Partition(n)
+}
+
+// Partition cuts the indexed trace into at most n shards, balanced by
+// delivered event count. The effective shard count is min(n,
+// event-delivering chunks), and always at least 1: a trace that delivers
+// nothing yields a single shard covering the whole file. The index is only
+// read, so one index may be partitioned concurrently.
+func (ix *Index) Partition(n int) (*Plan, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("shard: shard count %d < 1", n)
+	}
+	spans, total := ix.Spans, ix.TotalEvents
+	plan := &Plan{TraceBytes: ix.TraceBytes, Degraded: ix.Degraded, TotalEvents: total, Stats: ix.Stats}
 	if len(spans) == 0 {
-		plan.Shards = []Shard{{Start: trace.HeaderBytes, End: int64(len(data))}}
+		plan.Shards = []Shard{{Start: trace.HeaderBytes, End: ix.TraceBytes}}
 		return plan, nil
 	}
 	if n > len(spans) {
@@ -153,7 +188,7 @@ func Split(data []byte, n int, opts Options) (*Plan, error) {
 		if i+1 < len(shards) {
 			shards[i].End = shards[i+1].Start
 		} else {
-			shards[i].End = int64(len(data))
+			shards[i].End = ix.TraceBytes
 		}
 	}
 	plan.Shards = shards

@@ -25,16 +25,17 @@ import (
 // internal/harness enforces it on clean, damaged and budget-governed
 // traces.
 
-// BuildShardDelta runs the speculative pass over one decoded shard. On a
-// validation failure the returned delta is non-nil and covers the events
-// before the bad one; callers splice that prefix before reporting the
-// error so failures surface in chained order (an earlier shard's budget
-// error must win over a later shard's bad event, and within one shard a
-// governor trip before the bad event must win too).
-func BuildShardDelta(ctx context.Context, buf *trace.EventBuffer, cfg core.Config, sh Shard) (*core.ShardDelta, error) {
+// BuildShardDelta runs the speculative pass over one shard's events. On a
+// failure the returned delta is non-nil and covers the events before the
+// bad one (or before the read error, for a Section); callers splice that
+// prefix before reporting the error so failures surface in chained order
+// (an earlier shard's budget error must win over a later shard's bad
+// event, and within one shard a governor trip before the bad event must
+// win too).
+func BuildShardDelta(ctx context.Context, src Source, cfg core.Config, sh Shard) (*core.ShardDelta, error) {
 	b := core.NewDeltaBuilder(cfg, sh.StartEvent)
-	b.Grow(buf.Len())
-	if err := buf.ReplayBatches(ctx, b); err != nil {
+	b.Grow(int(sh.Events)) // the plan counted this shard's events
+	if err := src.ReplayBatches(ctx, b); err != nil {
 		return b.Delta(), fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
 	return b.Delta(), nil

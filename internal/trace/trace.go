@@ -63,7 +63,10 @@ type Event struct {
 // IsSyscall reports whether the event is a system call.
 func (e *Event) IsSyscall() bool { return e.Ins.Op == isa.SYSCALL || e.Ins.Op == isa.BREAK }
 
-// Sink consumes a stream of events.
+// Sink consumes a stream of events. The *Event is valid only for the
+// duration of the call: producers (the CPU tracer, Reader, replays) reuse
+// or recycle it afterwards, so a sink must copy what it keeps and must
+// not retain the pointer.
 type Sink interface {
 	Event(e *Event) error
 }
